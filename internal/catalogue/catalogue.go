@@ -136,7 +136,8 @@ func (c *Catalogue) IcebergsEmbedded(barrierName string, year int) (int, error) 
 	if bres.Len() == 0 {
 		return 0, fmt.Errorf("catalogue: barrier %q not found", barrierName)
 	}
-	barrierWKT := bres.Rows[0]["wkt"].Value
+	wkt, _ := bres.Get(0, "wkt")
+	barrierWKT := wkt.Value
 
 	res, err := c.store.QueryString(fmt.Sprintf(`
 		PREFIX ee: <%s>
@@ -154,7 +155,8 @@ func (c *Catalogue) IcebergsEmbedded(barrierName string, year int) (int, error) 
 	if res.Len() != 1 {
 		return 0, fmt.Errorf("catalogue: COUNT returned %d rows", res.Len())
 	}
-	n, err := res.Rows[0]["n"].Int()
+	count, _ := res.Get(0, "n")
+	n, err := count.Int()
 	return int(n), err
 }
 

@@ -20,7 +20,6 @@ package federate
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -204,37 +203,29 @@ func (f *Federation) Query(q *sparql.Query, opts Options) (*sparql.Results, Stat
 	}
 	wg.Wait()
 
-	merged := &sparql.Results{Vars: q.Vars}
+	// Members intern terms in their own dictionaries, so the merged rows
+	// hold every term in the result's local table.
+	var merged *sparql.Results
 	for _, sr := range results {
 		if sr.err != nil {
 			return nil, stats, sr.err
 		}
-		if len(merged.Vars) == 0 {
-			merged.Vars = sr.res.Vars
+		if merged == nil {
+			vars := q.Vars
+			if len(vars) == 0 {
+				vars = sr.res.Vars
+			}
+			merged = sparql.NewResults(vars, nil)
 		}
-		merged.Rows = append(merged.Rows, sr.res.Rows...)
+		merged.AppendResults(sr.res)
+	}
+	if merged == nil {
+		merged = sparql.NewResults(q.Vars, nil)
 	}
 	if q.OrderBy != "" {
-		by, desc := q.OrderBy, q.OrderDesc
-		sort.SliceStable(merged.Rows, func(i, j int) bool {
-			a, b := merged.Rows[i][by], merged.Rows[j][by]
-			fa, errA := a.Float()
-			fb, errB := b.Float()
-			if errA == nil && errB == nil {
-				if desc {
-					return fa > fb
-				}
-				return fa < fb
-			}
-			if desc {
-				return a.Value > b.Value
-			}
-			return a.Value < b.Value
-		})
+		merged.Sort(q.OrderBy, q.OrderDesc)
 	}
-	if q.Limit > 0 && len(merged.Rows) > q.Limit {
-		merged.Rows = merged.Rows[:q.Limit]
-	}
+	sparql.ApplyOffsetLimit(merged, &sparql.Query{Limit: q.Limit})
 	return merged, stats, nil
 }
 

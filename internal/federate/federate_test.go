@@ -165,7 +165,7 @@ func TestGlobalOrderAndLimit(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", res.Len())
 	}
 	var prev int64 = 1 << 40
-	for _, row := range res.Rows {
+	for _, row := range res.Maps() {
 		v, err := row["v"].Int()
 		if err != nil {
 			t.Fatal(err)

@@ -83,10 +83,10 @@ func TestIndexedMatchesNaive(t *testing.T) {
 			t.Fatalf("trial %d: naive %d rows, indexed %d rows", trial, rn.Len(), ri.Len())
 		}
 		seen := map[string]bool{}
-		for _, row := range rn.Rows {
+		for _, row := range rn.Maps() {
 			seen[row["f"].Value] = true
 		}
-		for _, row := range ri.Rows {
+		for _, row := range ri.Maps() {
 			if !seen[row["f"].Value] {
 				t.Fatalf("indexed returned %s not in naive results", row["f"].Value)
 			}
@@ -194,7 +194,7 @@ func TestQueryCombinedSpatialAndAttribute(t *testing.T) {
 	if res.Len() != resN.Len() {
 		t.Fatalf("indexed %d rows, naive %d rows", res.Len(), resN.Len())
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.Maps() {
 		v, err := row["v"].Int()
 		if err != nil || v >= 100 {
 			t.Errorf("attribute filter leaked: v=%v err=%v", v, err)
@@ -233,7 +233,7 @@ func TestIncrementalBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, row := range res.Rows {
+	for _, row := range res.Maps() {
 		if row["f"].Value == "http://example.org/late" {
 			found = true
 		}
@@ -271,8 +271,8 @@ func TestWithinQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 1 || res.Rows[0]["f"].Value != "http://example.org/in" {
-		t.Fatalf("within query rows: %v", res.Rows)
+	if res.Len() != 1 || res.Maps()[0]["f"].Value != "http://example.org/in" {
+		t.Fatalf("within query rows: %v", res.Maps())
 	}
 }
 

@@ -42,8 +42,8 @@ var parallelTestQueries = []string{
 }
 
 func rowStrings(r *sparql.Results) []string {
-	out := make([]string, 0, len(r.Rows))
-	for _, row := range r.Rows {
+	out := make([]string, 0, r.Len())
+	for _, row := range r.Maps() {
 		var b strings.Builder
 		for _, v := range r.Vars {
 			b.WriteString(row[v].String())

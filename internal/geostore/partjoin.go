@@ -259,7 +259,7 @@ func (ps *PartitionedStore) queryAllParts(ctx context.Context, q *sparql.Query) 
 		if pr.err != nil {
 			return nil, pr.err
 		}
-		rows = append(rows, pr.res.Rows...)
+		rows = append(rows, pr.res.Maps()...)
 	}
 	return rows, nil
 }
@@ -289,7 +289,7 @@ func (ps *PartitionedStore) queryBuildSide(q *sparql.Query, geomVar string, wind
 			return nil, pr.err
 		}
 		if pr.res != nil {
-			rows = append(rows, pr.res.Rows...)
+			rows = append(rows, pr.res.Maps()...)
 		}
 	}
 	return rows, nil
@@ -413,21 +413,15 @@ func projectJoined(q *sparql.Query, rows []map[string]rdf.Term) *sparql.Results 
 			}
 		}
 	}
-	res := &sparql.Results{Vars: vars}
+	res := sparql.NewResults(vars, nil)
 	for _, row := range rows {
-		proj := make(map[string]rdf.Term, len(vars))
-		for _, v := range vars {
-			if t, ok := row[v]; ok {
-				proj[v] = t
-			}
-		}
-		res.Rows = append(res.Rows, proj)
+		res.AppendMap(row)
 	}
 	if q.Distinct {
-		dedupRows(res)
+		res.Dedup()
 	}
 	if q.OrderBy != "" {
-		sparql.SortRows(res.Rows, q.OrderBy, q.OrderDesc)
+		res.Sort(q.OrderBy, q.OrderDesc)
 	}
 	sparql.ApplyOffsetLimit(res, q)
 	return res
@@ -443,7 +437,7 @@ func aggregateJoined(q *sparql.Query, rows []map[string]rdf.Term) *sparql.Result
 	for _, a := range q.Aggregates {
 		vars = append(vars, a.As)
 	}
-	res := &sparql.Results{Vars: vars}
+	res := sparql.NewResults(vars, nil)
 
 	type group struct {
 		key    rdf.Term
@@ -490,10 +484,10 @@ func aggregateJoined(q *sparql.Query, rows []map[string]rdf.Term) *sparql.Result
 		for i, a := range q.Aggregates {
 			row[a.As] = rdf.NewIntLiteral(g.counts[i])
 		}
-		res.Rows = append(res.Rows, row)
+		res.AppendMap(row)
 	}
 	if q.OrderBy != "" {
-		sparql.SortRows(res.Rows, q.OrderBy, q.OrderDesc)
+		res.Sort(q.OrderBy, q.OrderDesc)
 	}
 	sparql.ApplyOffsetLimit(res, q)
 	return res

@@ -85,7 +85,7 @@ func TestPartitionedDistinctAcrossPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Len() != 1 {
-		t.Fatalf("distinct classes = %d, want 1: %v", res.Len(), res.Rows)
+		t.Fatalf("distinct classes = %d, want 1: %v", res.Len(), res.Maps())
 	}
 }
 
@@ -102,10 +102,10 @@ func TestPartitionedAggregateMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Len() != 1 {
-		t.Fatalf("grouped rows = %d, want 1: %v", res.Len(), res.Rows)
+		t.Fatalf("grouped rows = %d, want 1: %v", res.Len(), res.Maps())
 	}
-	if n, err := res.Rows[0]["n"].Int(); err != nil || n != 100 {
-		t.Fatalf("count = %v (%v), want 100", res.Rows[0]["n"], err)
+	if n, err := res.Maps()[0]["n"].Int(); err != nil || n != 100 {
+		t.Fatalf("count = %v (%v), want 100", res.Maps()[0]["n"], err)
 	}
 
 	// Ungrouped COUNT folds to a single global row too.
@@ -114,10 +114,10 @@ func TestPartitionedAggregateMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Len() != 1 {
-		t.Fatalf("global rows = %d, want 1: %v", res.Len(), res.Rows)
+		t.Fatalf("global rows = %d, want 1: %v", res.Len(), res.Maps())
 	}
-	if n, err := res.Rows[0]["n"].Int(); err != nil || n != int64(ps.Len()) {
-		t.Fatalf("count = %v (%v), want %d", res.Rows[0]["n"], err, ps.Len())
+	if n, err := res.Maps()[0]["n"].Int(); err != nil || n != int64(ps.Len()) {
+		t.Fatalf("count = %v (%v), want %d", res.Maps()[0]["n"], err, ps.Len())
 	}
 }
 

@@ -70,7 +70,7 @@ func joinQuery(filter string) string {
 func pairSet(t *testing.T, res *sparql.Results) []string {
 	t.Helper()
 	out := make([]string, 0, res.Len())
-	for _, row := range res.Rows {
+	for _, row := range res.Maps() {
 		out = append(out, row["a"].Value+"|"+row["b"].Value)
 	}
 	sort.Strings(out)
@@ -205,8 +205,8 @@ func TestSpatialJoinModifiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Len() != 1 || res.Rows[0]["n"].Value != wantCount.Rows[0]["n"].Value {
-			t.Fatalf("COUNT = %v, want %v", res.Rows[0]["n"], wantCount.Rows[0]["n"])
+		if res.Len() != 1 || res.Maps()[0]["n"].Value != wantCount.Maps()[0]["n"].Value {
+			t.Fatalf("COUNT = %v, want %v", res.Maps()[0]["n"], wantCount.Maps()[0]["n"])
 		}
 	}
 
@@ -225,9 +225,10 @@ func TestSpatialJoinModifiers(t *testing.T) {
 		if res.Len() != want.Len() {
 			t.Fatalf("ORDER/OFFSET/LIMIT rows = %d, want %d", res.Len(), want.Len())
 		}
-		for i := range res.Rows {
-			if res.Rows[i]["a"].Value != want.Rows[i]["a"].Value {
-				t.Fatalf("row %d ?a = %s, want %s", i, res.Rows[i]["a"].Value, want.Rows[i]["a"].Value)
+		rm, wm := res.Maps(), want.Maps()
+		for i := range rm {
+			if rm[i]["a"].Value != wm[i]["a"].Value {
+				t.Fatalf("row %d ?a = %s, want %s", i, rm[i]["a"].Value, wm[i]["a"].Value)
 			}
 		}
 	}

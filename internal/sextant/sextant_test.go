@@ -107,13 +107,10 @@ func TestLayerFromResultsSkipsBadGeometry(t *testing.T) {
 
 func testResults(t *testing.T) *sparql.Results {
 	t.Helper()
-	return &sparql.Results{
-		Vars: []string{"f", "wkt"},
-		Rows: []map[string]rdf.Term{
-			{"f": rdf.NewIRI("http://x/1"), "wkt": rdf.NewWKTLiteral("POINT (1 2)")},
-			{"f": rdf.NewIRI("http://x/2"), "wkt": rdf.NewWKTLiteral("BROKEN")},
-		},
-	}
+	res := sparql.NewResults([]string{"f", "wkt"}, nil)
+	res.AppendMap(map[string]rdf.Term{"f": rdf.NewIRI("http://x/1"), "wkt": rdf.NewWKTLiteral("POINT (1 2)")})
+	res.AppendMap(map[string]rdf.Term{"f": rdf.NewIRI("http://x/2"), "wkt": rdf.NewWKTLiteral("BROKEN")})
+	return res
 }
 
 func TestTimeSlice(t *testing.T) {

@@ -222,8 +222,8 @@ func rowKey(vars []string, row map[string]rdf.Term) string {
 }
 
 func multiset(r *Results) map[string]int {
-	m := make(map[string]int, len(r.Rows))
-	for _, row := range r.Rows {
+	m := make(map[string]int, r.Len())
+	for _, row := range r.Maps() {
 		m[rowKey(r.Vars, row)]++
 	}
 	return m
@@ -281,7 +281,7 @@ func checkEquivalent(t *testing.T, st *rdf.Store, q *Query, tag string) {
 			t.Fatalf("%s: EvalLegacy(no limit): %v", tag, err)
 		}
 		pool := multiset(wantFull)
-		for _, row := range got.Rows {
+		for _, row := range got.Maps() {
 			k := rowKey(got.Vars, row)
 			if pool[k] == 0 {
 				t.Fatalf("%s: row %q not in oracle solutions\nquery: %s", tag, k, q.Canonical())
@@ -292,9 +292,10 @@ func checkEquivalent(t *testing.T, st *rdf.Store, q *Query, tag string) {
 	if q.OrderBy != "" {
 		// The ORDER BY key sequences must agree even when ties were
 		// broken differently.
-		for i := range got.Rows {
-			gk := got.Rows[i][q.OrderBy]
-			wk := want.Rows[i][q.OrderBy]
+		gm, wm := got.Maps(), want.Maps()
+		for i := range gm {
+			gk := gm[i][q.OrderBy]
+			wk := wm[i][q.OrderBy]
 			if gk.String() != wk.String() {
 				t.Fatalf("%s: order key %d = %s, want %s\nquery: %s",
 					tag, i, gk, wk, q.Canonical())
@@ -345,9 +346,10 @@ func checkParallel(t *testing.T, st *rdf.Store, q *Query, seq *Results, tag stri
 		if q.OrderBy != "" || q.Limit > 0 || q.Offset > 0 {
 			// Truncation and ordering must be byte-identical to the
 			// sequential executor: same rows, same order.
-			for i := range got.Rows {
-				gk := rowKey(got.Vars, got.Rows[i])
-				sk := rowKey(seq.Vars, seq.Rows[i])
+			gm, sm := got.Maps(), seq.Maps()
+			for i := range gm {
+				gk := rowKey(got.Vars, gm[i])
+				sk := rowKey(seq.Vars, sm[i])
 				if gk != sk {
 					t.Fatalf("%s: parallel(%d) row %d = %q, want %q\nquery: %s",
 						tag, d, i, gk, sk, q.Canonical())
@@ -398,8 +400,9 @@ func TestParallelDistinctLimitBudget(t *testing.T) {
 			if got.Len() != seq.Len() {
 				t.Fatalf("limit %d degree %d: rows = %d, want %d", limit, d, got.Len(), seq.Len())
 			}
-			for i := range got.Rows {
-				if g, w := rowKey(got.Vars, got.Rows[i]), rowKey(seq.Vars, seq.Rows[i]); g != w {
+			gm, sm := got.Maps(), seq.Maps()
+			for i := range gm {
+				if g, w := rowKey(got.Vars, gm[i]), rowKey(seq.Vars, sm[i]); g != w {
 					t.Fatalf("limit %d degree %d row %d = %q, want %q", limit, d, i, g, w)
 				}
 			}

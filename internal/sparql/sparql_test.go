@@ -201,7 +201,7 @@ func TestEvalSpatialFilter(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("rows = %d, want 2 (alice, bob)", res.Len())
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.Maps() {
 		if strings.Contains(row["x"].Value, "carol") {
 			t.Error("carol should be outside the window")
 		}
@@ -236,10 +236,10 @@ func TestEvalOrderLimit(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("rows = %d, want 2", res.Len())
 	}
-	if v, _ := res.Rows[0]["age"].Int(); v != 45 {
+	if v, _ := res.Maps()[0]["age"].Int(); v != 45 {
 		t.Errorf("first age = %d, want 45", v)
 	}
-	if v, _ := res.Rows[1]["age"].Int(); v != 30 {
+	if v, _ := res.Maps()[1]["age"].Int(); v != 30 {
 		t.Errorf("second age = %d, want 30", v)
 	}
 }
@@ -254,7 +254,7 @@ func TestEvalOrderAscending(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prev int64 = -1
-	for _, row := range res.Rows {
+	for _, row := range res.Maps() {
 		v, _ := row["age"].Int()
 		if v < prev {
 			t.Fatalf("rows not ascending: %v after %v", v, prev)
@@ -448,7 +448,7 @@ func TestEvalCount(t *testing.T) {
 	if res.Len() != 1 {
 		t.Fatalf("rows = %d", res.Len())
 	}
-	n, err := res.Rows[0]["n"].Int()
+	n, err := res.Maps()[0]["n"].Int()
 	if err != nil || n != 2 {
 		t.Errorf("count = %d, %v", n, err)
 	}
@@ -466,7 +466,7 @@ func TestEvalCountEmpty(t *testing.T) {
 	if res.Len() != 1 {
 		t.Fatalf("rows = %d (COUNT of empty set must be one zero row)", res.Len())
 	}
-	if n, _ := res.Rows[0]["n"].Int(); n != 0 {
+	if n, _ := res.Maps()[0]["n"].Int(); n != 0 {
 		t.Errorf("count = %d, want 0", n)
 	}
 }
@@ -488,10 +488,10 @@ func TestEvalCountGroupBy(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("groups = %d", res.Len())
 	}
-	if n, _ := res.Rows[0]["n"].Int(); n != 2 {
+	if n, _ := res.Maps()[0]["n"].Int(); n != 2 {
 		t.Errorf("largest group count = %d", n)
 	}
-	if res.Rows[0]["t"].Value != "http://example.org/T1" {
-		t.Errorf("largest group = %v", res.Rows[0]["t"])
+	if res.Maps()[0]["t"].Value != "http://example.org/T1" {
+		t.Errorf("largest group = %v", res.Maps()[0]["t"])
 	}
 }
