@@ -14,7 +14,6 @@
 package endpoint
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -535,21 +534,21 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		s.writeAnalyzed(w, res, prof, geomVar, start)
 		return
 	}
-	var buf bytes.Buffer
-	if err := WriteResults(&buf, format, res, geomVar); err != nil {
+	body, err := AppendResults(nil, format, res, geomVar)
+	if err != nil {
 		s.metrics.countError(errKindSerialize)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.cache.put(key, buf.Bytes(), res.Len())
-	s.finish(w, format, buf.Bytes(), false, start)
+	s.cache.put(key, body, res.Len())
+	s.finish(w, format, body, false, start)
 }
 
 // writeAnalyzed writes the ?analyze=1 response: a JSON envelope with
 // the execution profile and the SPARQL JSON results side by side.
 func (s *Server) writeAnalyzed(w http.ResponseWriter, res *sparql.Results, prof *sparql.Profile, geomVar string, start time.Time) {
-	var rbuf bytes.Buffer
-	if err := WriteResults(&rbuf, FormatJSON, res, geomVar); err != nil {
+	rbody, err := AppendResults(nil, FormatJSON, res, geomVar)
+	if err != nil {
 		s.metrics.countError(errKindSerialize)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -557,7 +556,7 @@ func (s *Server) writeAnalyzed(w http.ResponseWriter, res *sparql.Results, prof 
 	env := struct {
 		Profile *sparql.Profile `json:"profile"`
 		Results json.RawMessage `json:"results"`
-	}{Profile: prof, Results: json.RawMessage(rbuf.Bytes())}
+	}{Profile: prof, Results: json.RawMessage(rbody)}
 	body, err := json.Marshal(env)
 	if err != nil {
 		s.metrics.countError(errKindSerialize)

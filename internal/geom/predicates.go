@@ -196,22 +196,27 @@ func polygonContainsPoint(poly Polygon, p Point) bool {
 
 // inRing reports p inside-or-on the ring.
 func inRing(r Ring, p Point) bool {
-	for _, s := range ringSegments(r) {
-		if pointSegmentDistance(p, s[0], s[1]) < 1e-12 {
-			return true
-		}
-	}
-	return rayCast(r, p)
+	return onRing(r, p) || rayCast(r, p)
 }
 
 // inRingStrict reports p strictly inside the ring (boundary excluded).
 func inRingStrict(r Ring, p Point) bool {
-	for _, s := range ringSegments(r) {
-		if pointSegmentDistance(p, s[0], s[1]) < 1e-12 {
-			return false
+	return !onRing(r, p) && rayCast(r, p)
+}
+
+// onRing reports p on one of the ring's closed edges. It walks the
+// edges in place: point-in-polygon runs once per R-tree candidate, so
+// it must not allocate.
+func onRing(r Ring, p Point) bool {
+	if len(r) < 2 {
+		return false
+	}
+	for i := range r {
+		if pointSegmentDistance(p, r[i], r[(i+1)%len(r)]) < 1e-12 {
+			return true
 		}
 	}
-	return rayCast(r, p)
+	return false
 }
 
 // rayCast implements the even-odd rule with a ray towards +X.
