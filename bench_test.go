@@ -1,5 +1,6 @@
 // Package repro holds the repository-level benchmark harness: one
-// benchmark group per experiment E1–E15 (see EXPERIMENTS.md). These
+// benchmark group per experiment E1–E15 (each documented on its runner
+// in internal/experiments, e.g. experiments.E4). These
 // benchmarks measure the experiment kernels; the full parameter sweeps
 // with formatted tables are produced by cmd/eebench.
 package repro

@@ -1,5 +1,6 @@
-// Command eebench runs the ExtremeEarth experiment suite (E1–E15 of
-// EXPERIMENTS.md) and prints each experiment's result table.
+// Command eebench runs the ExtremeEarth experiment suite (E1–E15, each
+// documented on its runner in internal/experiments) and prints each
+// experiment's result table.
 //
 // Usage:
 //

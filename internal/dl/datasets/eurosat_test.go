@@ -46,7 +46,7 @@ func TestEuroSATLearnable(t *testing.T) {
 	// this class-conditional Gaussian generator, so the MLP approaching
 	// (not necessarily beating) it is the expected outcome on pixel
 	// vectors; the CNN/patch variant is where spatial context pays off
-	// (see EXPERIMENTS.md, E5).
+	// (see experiment E5, experiments.E5 in internal/experiments).
 	if mlpAcc < baseAcc-0.08 {
 		t.Errorf("MLP (%v) trails centroid baseline (%v) by too much", mlpAcc, baseAcc)
 	}

@@ -1,8 +1,9 @@
 // Package experiments implements the E1–E15 experiment suite derived
-// from the paper's quantitative claims (see DESIGN.md and
-// EXPERIMENTS.md). Each experiment builds its workload, runs every
-// configuration, and returns a printable table. cmd/eebench prints the
-// tables; the repository-root benchmarks reuse the same kernels.
+// from the paper's quantitative claims; each experiment's runner (E1
+// through E15) documents the claim it tests. Each experiment builds its
+// workload, runs every configuration, and returns a printable table.
+// cmd/eebench prints the tables; the repository-root benchmarks reuse
+// the same kernels.
 package experiments
 
 import (

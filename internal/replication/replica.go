@@ -298,12 +298,11 @@ func (r *Replica) streamOnce() error {
 
 	r.mu.Lock()
 	r.body = resp.Body
-	r.connected = true
 	r.mu.Unlock()
 	r.cfg.Logger.Info("replication: stream connected", "cursor", cur.String())
 
 	br := bufio.NewReaderSize(resp.Body, 1<<16)
-	for {
+	for first := true; ; first = false {
 		fr, err := readFrame(br)
 		if err != nil {
 			if r.stopped() {
@@ -320,6 +319,14 @@ func (r *Replica) streamOnce() error {
 				return errSealed
 			}
 			return err
+		}
+		if first {
+			// The stream counts as connected once its first frame (the
+			// feed sends one at once) has passed the epoch fence, so
+			// Status never pairs Connected with the previous epoch.
+			r.mu.Lock()
+			r.connected = true
+			r.mu.Unlock()
 		}
 		if r.stopped() {
 			return nil
